@@ -170,7 +170,7 @@ fn crashed_majority_leaves_pending_operations_without_breaking_safety() {
 use rlt_core::mp::adversary::hunt_new_old_inversion;
 use rlt_core::mp::minimize::minimize_schedule;
 use rlt_core::mp::{
-    DeliveryAdversary, FaultyAbdCluster, NewestFirstAdversary, OldestFirstAdversary,
+    DeliveryAdversary, FaultyAbdCluster, MwAbdCluster, NewestFirstAdversary, OldestFirstAdversary,
     ReplyWithholdingAdversary, StarveDestinationAdversary, UniformAdversary,
 };
 
@@ -304,4 +304,127 @@ fn crashing_clients_mid_operation_never_completes_their_ops() {
     assert_eq!(h.pending().count(), 1, "the crashed read stays pending");
     assert!(checker.check(&h).is_linearizable());
     assert_eq!(cluster.inflight_count(), 0, "no stale traffic circulates");
+}
+
+// ---------------------------------------------------------------------------
+// Golden pin: every cluster flavour, byte for byte
+// ---------------------------------------------------------------------------
+
+use rlt_core::mp::{FaultInjector, FaultPlan, LinkFaults, Partition, RetryPolicy, ScheduleRun};
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Drives `cluster` through a seeded mix of client events, uniform deliveries with
+/// injected loss/duplication/delay, a partition, crash/recover pairs and virtual-time
+/// advances, and returns the recorded schedule text, the history and the fault log.
+fn golden_transcript<C: MessageCluster>(cluster: C, multi_writer: bool, seed: u64) -> String {
+    let n = cluster.process_count();
+    let mut run = ScheduleRun::new(cluster);
+    let mut adversary = UniformAdversary::new(seed);
+    let plan = FaultPlan {
+        default: LinkFaults {
+            drop: 0.08,
+            duplicate: 0.05,
+            delay: 0.05,
+            delay_ticks: (16, 64),
+        },
+        overrides: Vec::new(),
+    };
+    let mut injector = FaultInjector::new(plan, seed);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let minority = Partition::new(1, "minority", [ProcessId(3), ProcessId(4)]);
+    for round in 0..24usize {
+        let value = round as i64 + 1;
+        let victim = ProcessId(round % n);
+        match round % 8 {
+            2 => {
+                run.install_partition(&minority);
+            }
+            3 => run.crash(victim),
+            5 => {
+                run.heal_partition(1);
+            }
+            6 => {
+                run.recover(ProcessId((round - 3) % n));
+            }
+            _ => {}
+        }
+        if multi_writer {
+            run.start_write_by(ProcessId(rng.gen_range(0..n)), value);
+        } else {
+            run.start_write(value);
+        }
+        for p in 0..n {
+            if rng.gen_bool(0.4) {
+                run.start_read(ProcessId(p));
+            }
+        }
+        for _ in 0..rng.gen_range(4..16) {
+            if !run.deliver_next_faulty(&mut adversary, &mut injector) && !run.advance_time() {
+                break;
+            }
+        }
+    }
+    for _ in 0..3_000 {
+        if !run.deliver_next_faulty(&mut adversary, &mut injector) && !run.advance_time() {
+            break;
+        }
+    }
+    format!(
+        "{}\n{}\n{:?}\n",
+        run.schedule(),
+        run.history(),
+        run.cluster().fault_log()
+    )
+}
+
+/// One digest over three seeds of [`golden_transcript`].
+fn golden_digest<C: MessageCluster>(fresh: impl Fn() -> C, multi_writer: bool) -> u64 {
+    let text: String = (0..3u64)
+        .map(|seed| golden_transcript(fresh(), multi_writer, 0x601d + seed))
+        .collect();
+    fnv1a(text.as_bytes())
+}
+
+#[test]
+fn every_cluster_flavour_matches_its_golden_digest() {
+    let w = ProcessId(0);
+    let retries = RetryPolicy::default;
+    let digests = [
+        ("abd", golden_digest(|| AbdCluster::new(5, w), false)),
+        (
+            "abd+retries",
+            golden_digest(|| AbdCluster::new(5, w).with_retries(retries()), false),
+        ),
+        (
+            "faulty",
+            golden_digest(|| FaultyAbdCluster::new(5, w), false),
+        ),
+        (
+            "faulty+retries",
+            golden_digest(
+                || FaultyAbdCluster::new(5, w).with_retries(retries()),
+                false,
+            ),
+        ),
+        ("mw", golden_digest(|| MwAbdCluster::new(5), true)),
+        (
+            "faulty-mw",
+            golden_digest(|| MwAbdCluster::new(5).without_write_back(), true),
+        ),
+    ];
+    let expected = [
+        ("abd", 9_845_763_134_832_119_058),
+        ("abd+retries", 6_471_688_849_167_323_535),
+        ("faulty", 3_058_454_183_077_170_074),
+        ("faulty+retries", 13_748_823_621_118_946_411),
+        ("mw", 2_487_264_159_632_524_770),
+        ("faulty-mw", 12_508_456_600_903_566_313),
+    ];
+    assert_eq!(digests, expected);
 }
