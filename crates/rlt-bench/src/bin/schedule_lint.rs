@@ -19,19 +19,8 @@
 
 use rlt_mp::analyze::{analyze, analyze_text, ClusterModel};
 use rlt_mp::fuzz::{fuzz_faulty_rediscovery, fuzz_mw_rediscovery, record_clean_corpus, FuzzConfig};
-use rlt_mp::{AbdCluster, FaultyAbdCluster, MwAbdCluster};
+use rlt_mp::{AbdCluster, FaultyAbdCluster};
 use rlt_spec::ProcessId;
-
-fn named_model(name: &str) -> Option<ClusterModel> {
-    Some(match name {
-        "permissive" => ClusterModel::permissive(),
-        "abd" => ClusterModel::single_writer(5, ProcessId(0)),
-        "faulty-abd" => ClusterModel::single_writer(5, ProcessId(0)).without_write_backs(),
-        "mw-abd" => ClusterModel::multi_writer(5),
-        "faulty-mw-abd" => ClusterModel::multi_writer(5).without_write_backs(),
-        _ => return None,
-    })
-}
 
 /// Analyzes one recorded corpus, asserting every schedule is clean.
 fn lint_corpus(label: &str, schedules: &[rlt_mp::Schedule], model: &ClusterModel) {
@@ -56,23 +45,17 @@ fn smoke() {
     lint_corpus(
         "abd",
         &record_clean_corpus(|| AbdCluster::new(5, ProcessId(0)), 3, 60, 21, false),
-        &named_model("abd").unwrap(),
+        &ClusterModel::named("abd").unwrap(),
     );
     lint_corpus(
         "faulty-abd",
         &record_clean_corpus(|| FaultyAbdCluster::new(5, ProcessId(0)), 3, 60, 22, false),
-        &named_model("faulty-abd").unwrap(),
+        &ClusterModel::named("faulty-abd").unwrap(),
     );
     lint_corpus(
         "faulty-mw-abd",
-        &record_clean_corpus(
-            || MwAbdCluster::new(5).without_write_back(),
-            3,
-            160,
-            23,
-            true,
-        ),
-        &named_model("faulty-mw-abd").unwrap(),
+        &record_clean_corpus(|| FaultyAbdCluster::multi_writer(5), 3, 160, 23, true),
+        &ClusterModel::named("faulty-mw-abd").unwrap(),
     );
     // Minimized trophies: 1-minimal ⇒ no removable step ⇒ no skipped step ⇒
     // the analyzer (sound for skipped-ness) must report zero dead steps.
@@ -92,7 +75,7 @@ fn smoke() {
             ),
         ),
     ] {
-        let model = named_model(name).unwrap();
+        let model = ClusterModel::named(name).unwrap();
         for trophy in &report.trophies {
             let analysis = analyze(&trophy.minimized, &model);
             assert_eq!(
@@ -155,7 +138,7 @@ fn main() {
     match args.split_first() {
         Some((first, _)) if first == "--smoke" => smoke(),
         Some((first, rest)) if first == "--model" => match rest.split_first() {
-            Some((name, files)) if !files.is_empty() => match named_model(name) {
+            Some((name, files)) if !files.is_empty() => match ClusterModel::named(name) {
                 Some(model) => std::process::exit(lint_files(&model, files)),
                 None => {
                     eprintln!("unknown model `{name}`");

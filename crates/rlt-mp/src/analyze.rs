@@ -51,7 +51,7 @@ use crate::delivery::{
     ClientEvent, EnvelopeKey, MessageKind, Schedule, ScheduleParseError, ScheduleStep,
 };
 
-/// Mirrors `mw.rs`: multi-writer sequence numbers pack the writer id into the
+/// Mirrors `abd.rs`: multi-writer sequence numbers pack the writer id into the
 /// low 6 bits, so a `write-req#s` with `s >= 64` names an MW write by process
 /// `s & 63`.
 const MW_PID_MASK: u64 = 63;
@@ -177,6 +177,21 @@ impl ClusterModel {
     pub fn with_retries(mut self) -> Self {
         self.retries = true;
         self
+    }
+
+    /// The model of a named cluster flavour on 5 processes with process 0 as the
+    /// (designated) writer: `permissive`, `abd`, `faulty-abd`, `mw-abd` or
+    /// `faulty-mw-abd`. Each equals the [`crate::Abd::model`] of that flavour.
+    #[must_use]
+    pub fn named(name: &str) -> Option<Self> {
+        Some(match name {
+            "permissive" => ClusterModel::permissive(),
+            "abd" => ClusterModel::single_writer(5, ProcessId(0)),
+            "faulty-abd" => ClusterModel::single_writer(5, ProcessId(0)).without_write_backs(),
+            "mw-abd" => ClusterModel::multi_writer(5),
+            "faulty-mw-abd" => ClusterModel::multi_writer(5).without_write_backs(),
+            _ => return None,
+        })
     }
 
     /// Majority threshold: how many distinct replica responses complete a
@@ -888,7 +903,7 @@ pub fn canonicalize(schedule: &Schedule) -> Schedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AbdCluster, FaultyAbdCluster, MessageCluster, MwAbdCluster};
+    use crate::{AbdCluster, FaultyAbdCluster, MessageCluster};
 
     fn sched(text: &str) -> Schedule {
         text.parse().expect("schedule parses")
@@ -910,7 +925,9 @@ mod tests {
                 analysis.diagnostics
             );
         }
-        for schedule in crate::fuzz::record_clean_corpus(|| MwAbdCluster::new(5), 3, 60, 7, true) {
+        for schedule in
+            crate::fuzz::record_clean_corpus(|| AbdCluster::multi_writer(5), 3, 60, 7, true)
+        {
             let analysis = analyze(&schedule, &ClusterModel::multi_writer(5));
             assert!(
                 analysis.is_clean(),
@@ -1077,16 +1094,17 @@ mod tests {
     fn canonicalize_is_replay_equivalent_and_idempotent() {
         // A recorded MW run interleaves requests with disjoint endpoints; the
         // commuting request deliveries get sorted into text order.
-        let schedule = crate::fuzz::record_clean_corpus(|| MwAbdCluster::new(5), 1, 80, 11, true)
-            .pop()
-            .expect("one recording");
+        let schedule =
+            crate::fuzz::record_clean_corpus(|| AbdCluster::multi_writer(5), 1, 80, 11, true)
+                .pop()
+                .expect("one recording");
 
         let canon = canonicalize(&schedule);
         assert_eq!(canon, canonicalize(&canon), "idempotent");
         assert_eq!(canon.len(), schedule.len());
 
-        let mut a = MwAbdCluster::new(5);
-        let mut b = MwAbdCluster::new(5);
+        let mut a = AbdCluster::multi_writer(5);
+        let mut b = AbdCluster::multi_writer(5);
         let da = schedule.replay_on(&mut a);
         let db = canon.replay_on(&mut b);
         assert_eq!(da, db);

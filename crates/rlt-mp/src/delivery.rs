@@ -1,7 +1,7 @@
 //! The shared delivery core of the message-passing simulations.
 //!
-//! Both [`crate::AbdCluster`] and [`crate::FaultyAbdCluster`] move protocol messages
-//! through the same machinery defined here:
+//! Every flavour of the ABD cluster ([`crate::Abd`]) moves protocol messages through
+//! the same machinery defined here:
 //!
 //! * [`Envelope`] / [`AbdMessage`] — the wire types (the faulty variant simply never
 //!   sends the write-back messages).
@@ -262,7 +262,7 @@ impl InflightQueue {
     }
 
     /// Drops every in-flight envelope sent by or addressed to `p` — the fail-stop
-    /// crash purge, shared by both clusters so their crash semantics cannot diverge.
+    /// crash purge, shared by every cluster flavour so crash semantics cannot diverge.
     pub fn purge_process(&mut self, p: ProcessId) {
         self.retain(|env| env.from != p && env.to != p);
     }
@@ -695,7 +695,9 @@ impl FromStr for Schedule {
 
 /// The capability surface the delivery core needs from a message-passing cluster.
 ///
-/// Implemented by [`crate::AbdCluster`] and [`crate::FaultyAbdCluster`]; everything in
+/// Implemented by [`crate::Abd`], one cluster with two axes: write-back or not
+/// ([`crate::AbdCluster`] / [`crate::FaultyAbdCluster`]) and one or many writers
+/// ([`crate::Abd::new`] / [`crate::Abd::multi_writer`]). Everything in
 /// `adversary.rs` and `minimize.rs` is generic over it. The provided methods are the
 /// single shared implementation of uniform-random delivery.
 pub trait MessageCluster {

@@ -204,7 +204,7 @@ struct Parked {
     until: ParkedUntil,
 }
 
-/// The shared network/failure substrate both clusters embed: in-flight queue, virtual
+/// The shared network/failure substrate every cluster embeds: in-flight queue, virtual
 /// clock, crash set, partitions, parked messages, retry timers, and the fault log.
 ///
 /// All state transitions are deterministic; the only randomness in the whole fault

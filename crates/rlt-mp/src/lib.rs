@@ -6,17 +6,22 @@
 //! message-passing systems, which is known not to be strongly linearizable. To exercise
 //! that result on real executions, this crate provides:
 //!
-//! * [`AbdCluster`] — a discrete-event simulation of the ABD protocol: `n` processes,
+//! * [`Abd`] — one discrete-event simulation of the ABD protocol: `n` processes,
 //!   each acting as a replica and a client, communicating through messages whose
 //!   delivery order is controlled by the caller (the adversary), with crash failures of
-//!   a minority of processes.
-//! * [`FaultyAbdCluster`] — ABD with the read write-back removed, the negative control
-//!   whose histories the checkers must reject.
+//!   a minority of processes. It has two axes. The `WRITE_BACK` type parameter
+//!   separates [`AbdCluster`] (the correct protocol of Theorem 14) from
+//!   [`FaultyAbdCluster`] (the read write-back removed: the negative control whose
+//!   histories the checkers must reject). The writer axis is chosen at construction:
+//!   [`Abd::new`] has one designated writer, [`Abd::multi_writer`] lets every process
+//!   write, with writes tagged by `(counter, writer-id)` sequence pairs and driven by
+//!   the `write-by` schedule verb. [`Abd::model`] derives the matching
+//!   [`ClusterModel`].
 //! * The shared [`delivery`] core: the index-stable [`InflightQueue`], the
-//!   [`MessageCluster`] trait both clusters implement (home of the shared
+//!   [`MessageCluster`] trait every cluster implements (home of the shared
 //!   random-delivery helpers), and replayable recorded [`Schedule`]s with a stable
 //!   textual form (`Display`/`FromStr` round-trip).
-//! * The virtual-time [`faults`] layer both clusters embed ([`SimNet`]): seeded
+//! * The virtual-time [`faults`] layer every cluster embeds ([`SimNet`]): seeded
 //!   per-link drop/duplicate/delay injection ([`FaultInjector`]), named installable
 //!   [`Partition`]s, crash-*recovery* with persisted replica state, timeout-driven
 //!   client retry with bounded exponential backoff ([`RetryPolicy`]), and a per-run
@@ -34,9 +39,6 @@
 //!   keeps mutants discovering novel checker-state or schedule-shape coverage, and
 //!   ddmin-minimizes every confirmed trophy — the untargeted counterpart of the
 //!   hand-written adversaries (see the quickstart below).
-//! * A multi-writer ABD variant ([`MwAbdCluster`], writes tagged with
-//!   `(counter, writer-id)` sequence pairs) in a correct and a write-back-free
-//!   flavor, driven by the `write-by` schedule verb.
 //! * A static schedule [`analyze`](mod@analyze)r — a pre-replay verifier over the schedule
 //!   grammar below — whose canonical forms front the fuzzer's triage and the
 //!   minimizer's replay cache (see *Schedule grammar and diagnostics*).
@@ -164,12 +166,10 @@ pub mod adversary;
 pub mod analyze;
 pub mod delivery;
 pub mod faults;
-pub mod faulty;
 pub mod fuzz;
 pub mod minimize;
-pub mod mw;
 
-pub use abd::{AbdCluster, ABD_REGISTER};
+pub use abd::{Abd, AbdCluster, FaultyAbdCluster, ABD_REGISTER, MW_REGISTER};
 pub use adversary::{
     DeliveryAdversary, DeliveryView, NewestFirstAdversary, OldestFirstAdversary,
     ReplyWithholdingAdversary, ScriptedAdversary, StarveDestinationAdversary, UniformAdversary,
@@ -186,7 +186,6 @@ pub use faults::{
     hunt_with_faults, hunt_with_faults_from_scratch, FaultDecision, FaultInjector, FaultLog,
     FaultPlan, FaultScenario, LinkFaults, LinkOverride, Partition, RetryPolicy, SimNet,
 };
-pub use faulty::FaultyAbdCluster;
 pub use fuzz::{
     fuzz, fuzz_faulty_rediscovery, fuzz_mw_rediscovery, fuzz_strong_distinctions,
     record_clean_corpus, FuzzConfig, FuzzReport, FuzzTarget, LinearizabilityTarget,
@@ -195,4 +194,3 @@ pub use fuzz::{
 pub use minimize::{
     minimize_schedule, minimize_schedule_by, minimize_schedule_with_model, MinimizeReport,
 };
-pub use mw::{MwAbdCluster, MW_REGISTER};

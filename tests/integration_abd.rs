@@ -170,7 +170,7 @@ fn crashed_majority_leaves_pending_operations_without_breaking_safety() {
 use rlt_core::mp::adversary::hunt_new_old_inversion;
 use rlt_core::mp::minimize::minimize_schedule;
 use rlt_core::mp::{
-    DeliveryAdversary, FaultyAbdCluster, MwAbdCluster, NewestFirstAdversary, OldestFirstAdversary,
+    DeliveryAdversary, FaultyAbdCluster, NewestFirstAdversary, OldestFirstAdversary,
     ReplyWithholdingAdversary, StarveDestinationAdversary, UniformAdversary,
 };
 
@@ -412,10 +412,10 @@ fn every_cluster_flavour_matches_its_golden_digest() {
                 false,
             ),
         ),
-        ("mw", golden_digest(|| MwAbdCluster::new(5), true)),
+        ("mw", golden_digest(|| AbdCluster::multi_writer(5), true)),
         (
             "faulty-mw",
-            golden_digest(|| MwAbdCluster::new(5).without_write_back(), true),
+            golden_digest(|| FaultyAbdCluster::multi_writer(5), true),
         ),
     ];
     let expected = [
