@@ -914,8 +914,8 @@ impl ScratchPool {
 }
 
 /// The process-wide fallback pool behind [`Engine::check`] /
-/// [`Engine::check_sequential`]. Callers that don't hold a [`crate::Checker`] (shims,
-/// one-off checks, doctests) used to pay a cold arena per call; parking the arenas in
+/// [`Engine::check_sequential`]. Callers that don't hold a [`crate::Checker`] (one-off
+/// checks, doctests) used to pay a cold arena per call; parking the arenas in
 /// one shared static keeps them warm instead. Scratch reuse is invisible to results,
 /// so this is purely a perf fix.
 pub(crate) fn default_scratch_pool() -> &'static ScratchPool {
