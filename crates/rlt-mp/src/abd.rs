@@ -277,12 +277,6 @@ impl<const WRITE_BACK: bool> Abd<WRITE_BACK> {
         true
     }
 
-    /// Returns `true` if `p` has no operation in progress.
-    #[must_use]
-    pub fn is_idle(&self, p: ProcessId) -> bool {
-        matches!(self.clients[p.0], Client::Idle)
-    }
-
     /// `true` if `p` is in range, alive and idle.
     fn can_invoke(&self, p: ProcessId) -> bool {
         p.0 < self.n && !self.is_crashed(p) && self.is_idle(p)
@@ -712,7 +706,7 @@ impl<const WRITE_BACK: bool> MessageCluster for Abd<WRITE_BACK> {
     }
 
     fn is_idle(&self, p: ProcessId) -> bool {
-        Abd::is_idle(self, p)
+        matches!(self.clients[p.0], Client::Idle)
     }
 }
 
@@ -1189,31 +1183,6 @@ mod tests {
         assert_eq!(c.try_start_write_by(ProcessId(1), 7), None);
         assert!(c.try_start_write_by(ProcessId(2), 7).is_some());
         assert!(c.history().writes().all(|w| w.process == ProcessId(2)));
-    }
-
-    #[test]
-    fn register_ids_follow_the_configuration() {
-        let register = |h: History<i64>| h.reads().next().unwrap().register;
-        let read = |mut c: Box<dyn MessageCluster>| {
-            c.try_start_read(ProcessId(1));
-            c.history()
-        };
-        assert_eq!(
-            register(read(Box::new(AbdCluster::new(5, ProcessId(0))))),
-            ABD_REGISTER
-        );
-        assert_eq!(
-            register(read(Box::new(FaultyAbdCluster::new(5, ProcessId(0))))),
-            FAULTY_REGISTER
-        );
-        assert_eq!(
-            register(read(Box::new(AbdCluster::multi_writer(5)))),
-            MW_REGISTER
-        );
-        assert_eq!(
-            register(read(Box::new(FaultyAbdCluster::multi_writer(5)))),
-            MW_REGISTER
-        );
     }
 
     #[test]
