@@ -91,13 +91,8 @@ pub mod tracked {
     /// bitset spans two words, so every memo key takes the skip-compacted
     /// multi-word path.
     pub const DISTINCT_VALUE_OPS: usize = 112;
-    /// Concurrent writes per burst of the `memo_arena` workload — also its root DFS
-    /// frontier, so the split threshold below shards the search.
+    /// Concurrent writes per burst of the `memo_arena` workload.
     pub const DISTINCT_VALUE_BURST: usize = 8;
-    /// Split threshold of the `memo_arena` rows: at or below the burst size, so the
-    /// within-register subtree split engages (the threshold is part of the
-    /// canonical search semantics, so the guard must recompute with it).
-    pub const MEMO_ARENA_SPLIT_THRESHOLD: u32 = 8;
     /// Decisions per register of the E15 `multi_register_3x_stream` incremental
     /// rows (the single-register stream sizes ride in the row's workload name).
     pub const INCREMENTAL_MULTI_DECISIONS: usize = 40;
@@ -218,7 +213,7 @@ pub fn multi_register_workload(k: usize, decisions: usize, seed: u64) -> History
 }
 
 /// A linearizable single-register history that actually exercises the engine's
-/// *large-key* memo path and its within-register sharding: `ops` completed
+/// *large-key* memo path: `ops` completed
 /// operations (well past the 64 that fit a one-word taken bitset) in bursts of
 /// `burst` mutually concurrent writes — every write carrying a globally **distinct**
 /// value — each burst followed by a read that pins a seeded-random burst member as
@@ -226,8 +221,7 @@ pub fn multi_register_workload(k: usize, decisions: usize, seed: u64) -> History
 ///
 /// The read makes the witness search genuinely permute each burst (backtracking and
 /// memo hits over multi-word keys), the distinct values keep the interning table at
-/// one id per write, and the first burst *is* the root DFS frontier, so a split
-/// threshold at or below `burst` shards the search. Linearizable by construction:
+/// one id per write. Linearizable by construction:
 /// order each burst with the read's value last. Used by the `memo_arena` rows of
 /// `BENCH_checkers.json` and the drift guard.
 #[must_use]

@@ -160,9 +160,8 @@ pub trait FuzzTarget: Sync {
     }
 }
 
-/// A per-check sequential checker: fuzz histories are small, so fork-join
-/// overhead would dominate, and per-task construction keeps the fuzzer free of
-/// shared mutable state.
+/// A per-task checker without witnesses: per-task construction keeps the fuzzer
+/// free of shared mutable state.
 fn seq_checker() -> Checker<i64> {
     Checker::builder(0i64)
         .threads(ThreadPolicy::Sequential)

@@ -25,7 +25,8 @@ pub struct AppConfig {
     pub state_budget: u64,
     /// Enumeration work cap for `/linearizations`.
     pub enumeration_work_cap: u64,
-    /// Thread policy for the pooled checkers.
+    /// Thread policy for the pooled checkers. It governs `check_many` batches only;
+    /// a single check always runs on the request's worker thread.
     pub threads: ThreadPolicy,
     /// Record witness linearizations in verdicts.
     pub witness: bool,

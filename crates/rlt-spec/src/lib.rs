@@ -10,11 +10,11 @@
 //!   [`sequential`].
 //! * The [`Checker`] session: a builder-configured linearizability checker (Definition
 //!   2) backed by the high-throughput search core in [`engine`] (value interning,
-//!   precedence bitsets, iterative DFS, per-register composition, fork-join
-//!   parallelism with bit-identical results at any thread width). A `Checker` is
+//!   precedence bitsets, iterative DFS, per-register composition). A `Checker` is
 //!   reusable: it keeps search scratch warm across [`Checker::check`] calls and across
-//!   the histories of a [`Checker::check_many`] batch, and streams enumerations
-//!   lazily through the [`Linearizations`] iterator.
+//!   the histories of a [`Checker::check_many`] batch (which fans across threads with
+//!   bit-identical results at any width), and streams enumerations lazily through the
+//!   [`Linearizations`] iterator.
 //! * Prefix-property checkers for strong linearizability (Definition 3) and write
 //!   strong-linearizability (Definition 4) over linearization *strategies*
 //!   ([`strategy`]) and existential checks over explicit history families ([`strong`]),
@@ -67,7 +67,7 @@ pub mod wire;
 pub use checker::{CheckError, CheckStats, Checker, CheckerBuilder, ThreadPolicy, Verdict};
 pub use engine::{
     CheckOutcome, Engine, EnumerationLimitExceeded, Linearizations, MemoStats, ScratchPool,
-    SearchScratch, StateSketch, DEFAULT_SPLIT_THRESHOLD,
+    SearchScratch, StateSketch,
 };
 pub use history::{History, HistoryBuilder};
 pub use ids::{OpId, ProcessId, RegisterId, Time};

@@ -21,7 +21,8 @@
 //! `[0,3]`, `(5#2)` — none contain whitespace, so the line tokenizes on spaces.
 //!
 //! [`parse_history`] pre-validates everything [`History::from_operations`]
-//! asserts (duplicate ids, duplicate event times, response ≤ invocation) and
+//! asserts (duplicate ids, duplicate event times, response ≤ invocation), plus the
+//! one time the checker cannot represent (`t18446744073709551615`), and
 //! reports those as line-numbered [`WireError`]s instead of panicking, so a
 //! service can feed untrusted request bodies straight into it.
 
@@ -99,6 +100,20 @@ fn parse_prefixed(tok: &str, prefix: &str, what: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("bad {what} `{tok}`: expected `{prefix}<n>`"))
 }
 
+/// Parses an event-time token like `t9`. `t18446744073709551615` (`u64::MAX`) is
+/// rejected: the checker completes pending operations one tick past the history's
+/// last event, and the witness merge uses `u64::MAX` as its "never responds" mark.
+fn parse_time(tok: &str, what: &str) -> Result<u64, String> {
+    let t = parse_prefixed(tok, "t", what)?;
+    if t == u64::MAX {
+        return Err(format!(
+            "{what} `{tok}` is out of range: the largest event time is `t{}`",
+            u64::MAX - 1
+        ));
+    }
+    Ok(t)
+}
+
 /// Formats a [`History`] in the wire text grammar, one operation per line.
 ///
 /// The output parses back ([`parse_history`]) to an equal history.
@@ -160,11 +175,11 @@ pub fn parse_history(text: &str) -> Result<History<Value>, WireError> {
                 "bad time span `{span}`: expected `t<inv>..[t<resp>]`"
             ))
         })?;
-        let inv = parse_prefixed(inv, "t", "invocation time").map_err(&err)?;
+        let inv = parse_time(inv, "invocation time").map_err(&err)?;
         let resp = if resp.is_empty() {
             None
         } else {
-            Some(parse_prefixed(resp, "t", "response time").map_err(&err)?)
+            Some(parse_time(resp, "response time").map_err(&err)?)
         };
         let kind = match verb {
             "write" => OpKind::Write(parse_value(value).map_err(&err)?),
@@ -347,6 +362,11 @@ mod tests {
             ("op0 p0 R0 write 1 % t1..t2", 1, "`@`"),
             ("op0 p0 R0 write 1 @ t1", 1, "time span"),
             ("op0 p0 R0 write 1 @ t2..t1", 1, "does not follow"),
+            (
+                "op0 p0 R0 write 1 @ t18446744073709551615..",
+                1,
+                "out of range",
+            ),
             (
                 "op0 p0 R0 write 1 @ t1..t2\nop0 p0 R0 write 1 @ t3..t4",
                 2,

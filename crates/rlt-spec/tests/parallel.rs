@@ -1,13 +1,13 @@
-//! Parallel-determinism suite: the fork-join engine pinned to the sequential path,
-//! through the [`Checker`] session API.
+//! Thread-determinism suite, through the [`Checker`] session API.
 //!
 //! The checker's contract is that thread policy is *unobservable* in results:
 //! verdicts, witnesses, statistics, enumeration output, and family reports must be
 //! bit-identical across [`ThreadPolicy::Sequential`], [`ThreadPolicy::Auto`] on pools
-//! of any width, and [`ThreadPolicy::Fixed`] at any width. These tests diff the
-//! parallel paths against the sequential policy on the same seeded corpus the
-//! engine-vs-reference differential suite uses, plus dedicated corpora for the
-//! small-budget replay path and the multi-register enumeration product.
+//! of any width, and [`ThreadPolicy::Fixed`] at any width. A single check runs on the
+//! calling thread under every policy; `check_many` batches fan out. These tests diff
+//! every policy against the sequential one on the same seeded corpus the
+//! engine-vs-reference differential suite uses, plus dedicated corpora for tiny
+//! state budgets, batches, and the multi-register enumeration product.
 
 mod common;
 
@@ -67,9 +67,8 @@ fn verdicts_are_bit_identical_across_thread_policies() {
 
 #[test]
 fn tiny_state_budgets_replay_identically() {
-    // The budget-replay / sequential-fallback path: with budgets this small the
-    // parallel pass frequently detects that the sequential pass would have run dry
-    // mid-search and must reproduce its exact truncated statistics.
+    // With budgets this small most checks run dry mid-search; every policy must
+    // report the exact same truncated statistics.
     for threads in [2usize, 4] {
         for seed in 0..300u64 {
             let h = random_history(seed + 5_000, 12, 3);
@@ -108,43 +107,6 @@ fn batch_verdicts_match_individual_verdicts_at_any_width() {
     ] {
         let batch = checker(policy).check_many(&histories);
         assert_eq!(batch, solo, "batch diverged under {policy:?}");
-    }
-}
-
-#[test]
-fn within_register_sharding_is_bit_identical_across_thread_counts() {
-    // The within-register subtree split on single-register histories: at a low split
-    // threshold most of this corpus shards, and the speculative parallel path must
-    // replay to the exact sequential outcome — verdict, witness, state counters, and
-    // memo stats — at widths 1, 2, and 4 (width 1 covers the RLT_THREADS=1 CI job's
-    // sequential collapse of the same code path).
-    let histories: Vec<_> = (0..300u64)
-        .map(|seed| random_history(seed * 7 + 11, 12, 1))
-        .collect();
-    for budget in [u64::MAX, 64] {
-        let sequential_checker = Checker::builder(0i64)
-            .state_budget(budget)
-            .threads(ThreadPolicy::Sequential)
-            .split_threshold(2)
-            .build();
-        let sequential: Vec<_> = histories
-            .iter()
-            .map(|h| sequential_checker.check(h))
-            .collect();
-        for threads in [1usize, 2, 4] {
-            let fixed = Checker::builder(0i64)
-                .state_budget(budget)
-                .threads(ThreadPolicy::Fixed(threads))
-                .split_threshold(2)
-                .build();
-            for (i, h) in histories.iter().enumerate() {
-                assert_eq!(
-                    fixed.check(h),
-                    sequential[i],
-                    "split search diverged: threads={threads} budget={budget} history {i}: {h}"
-                );
-            }
-        }
     }
 }
 
