@@ -17,8 +17,8 @@ use crate::config::AppConfig;
 use crate::metrics::Metrics;
 use parking_lot::Mutex;
 use rlt_spec::wire::{format_history, parse_history, verdict_to_json, WireError};
-use rlt_spec::{Checker, History, IncrementalChecker, OpKind, Operation, StateSketch, Value};
-use std::collections::{BTreeSet, HashMap};
+use rlt_spec::{Checker, History, IncrementalChecker, StateSketch, Value};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A service-layer failure, carrying the HTTP status the handlers map it to.
@@ -68,20 +68,6 @@ struct CacheEntry {
     sketch: StateSketch,
 }
 
-/// One live monitoring session: the cumulative target operation list (the
-/// grown-in-place history [`IncrementalChecker::sync_with_ops`] expects), the
-/// validation indexes that keep malformed events from panicking the engine, and
-/// the incremental session itself.
-#[derive(Debug)]
-struct SessionEntry {
-    target: Vec<Operation<Value>>,
-    /// Event times already used (invocations and responses).
-    times: BTreeSet<u64>,
-    /// Op id → index in `target`.
-    ids: HashMap<u64, usize>,
-    inc: IncrementalChecker<Value>,
-}
-
 /// RAII reservation against the aggregate state budget.
 struct BudgetGuard<'s> {
     service: &'s CheckService,
@@ -104,7 +90,7 @@ pub struct CheckService {
     /// counters without an HTTP round trip.
     pub metrics: Metrics,
     checkers: Mutex<Vec<Checker<Value>>>,
-    sessions: Mutex<HashMap<u64, SessionEntry>>,
+    sessions: Mutex<HashMap<u64, IncrementalChecker<Value>>>,
     next_session: AtomicU64,
     cache: Mutex<HashMap<u64, CacheEntry>>,
     in_flight_cost: AtomicU64,
@@ -217,17 +203,22 @@ impl CheckService {
         }
     }
 
-    fn parse_body(&self, body: &str) -> Result<History<Value>, ServiceError> {
-        let history = parse_history(body).map_err(|e: WireError| {
+    /// Parses one wire history that starts after line `offset` of the request
+    /// body (error line numbers count from the body's start) and sheds it if it
+    /// is over `max_ops`.
+    fn parse_body(&self, body: &str, offset: usize) -> Result<History<Value>, ServiceError> {
+        let history = parse_history(body).map_err(|e| {
             self.metrics.parse_errors.fetch_add(1, Ordering::Relaxed);
-            ServiceError::Parse(e.to_string())
+            let line = e.line + offset;
+            ServiceError::Parse(WireError { line, ..e }.to_string())
         })?;
         if history.operations().len() > self.config.max_ops {
             self.metrics
                 .rejected_oversize
                 .fetch_add(1, Ordering::Relaxed);
             return Err(ServiceError::Oversize(format!(
-                "history has {} operations, limit is {}",
+                "history starting at line {} has {} operations, limit is {}",
+                offset + 1,
                 history.operations().len(),
                 self.config.max_ops
             )));
@@ -237,7 +228,7 @@ impl CheckService {
 
     /// `POST /check`: wire-text history in, verdict JSON out.
     pub fn check_text(&self, body: &str) -> Result<String, ServiceError> {
-        let history = self.parse_body(body)?;
+        let history = self.parse_body(body, 0)?;
         self.metrics.check_requests.fetch_add(1, Ordering::Relaxed);
         // Interned verdicts: a repeated body skips the search entirely.
         let key = fx_hash_bytes(body.as_bytes());
@@ -300,28 +291,7 @@ impl CheckService {
         chunks.push((start_line, current));
         let mut histories = Vec::with_capacity(chunks.len());
         for (offset, chunk) in &chunks {
-            let history = parse_history(chunk).map_err(|e| {
-                self.metrics.parse_errors.fetch_add(1, Ordering::Relaxed);
-                ServiceError::Parse(
-                    WireError {
-                        line: e.line + offset,
-                        message: e.message,
-                    }
-                    .to_string(),
-                )
-            })?;
-            if history.operations().len() > self.config.max_ops {
-                self.metrics
-                    .rejected_oversize
-                    .fetch_add(1, Ordering::Relaxed);
-                return Err(ServiceError::Oversize(format!(
-                    "history starting at line {} has {} operations, limit is {}",
-                    offset + 1,
-                    history.operations().len(),
-                    self.config.max_ops
-                )));
-            }
-            histories.push(history);
+            histories.push(self.parse_body(chunk, *offset)?);
         }
         self.metrics
             .check_many_requests
@@ -356,7 +326,7 @@ impl CheckService {
         body: &str,
         max: Option<usize>,
     ) -> Result<String, ServiceError> {
-        let history = self.parse_body(body)?;
+        let history = self.parse_body(body, 0)?;
         self.metrics
             .linearization_requests
             .fetch_add(1, Ordering::Relaxed);
@@ -442,6 +412,12 @@ impl CheckService {
         Ok(json)
     }
 
+    /// Counts and builds the `404` for an unknown session id.
+    fn no_session(&self, id: u64) -> ServiceError {
+        self.metrics.not_found.fetch_add(1, Ordering::Relaxed);
+        ServiceError::NotFound(format!("no session {id}"))
+    }
+
     /// `POST /sessions`: creates a monitoring session, optionally seeded with an
     /// initial wire-text history. Returns `(session id, ops applied)`.
     pub fn create_session(&self, initial: &str) -> Result<(u64, usize), ServiceError> {
@@ -457,19 +433,10 @@ impl CheckService {
                 )));
             }
         }
-        let mut entry = SessionEntry {
-            target: Vec::new(),
-            times: BTreeSet::new(),
-            ids: HashMap::new(),
-            inc: self.build_checker().incremental(),
-        };
-        let applied = if initial.trim().is_empty() {
-            0
-        } else {
-            self.apply_events(&mut entry, initial)?
-        };
+        let mut inc = self.build_checker().incremental();
+        let applied = self.apply_events(&mut inc, initial)?;
         let id = self.next_session.fetch_add(1, Ordering::SeqCst);
-        self.sessions.lock().insert(id, entry);
+        self.sessions.lock().insert(id, inc);
         self.metrics
             .sessions_created
             .fetch_add(1, Ordering::Relaxed);
@@ -481,116 +448,52 @@ impl CheckService {
     /// total operation count.
     pub fn session_events(&self, id: u64, body: &str) -> Result<usize, ServiceError> {
         let mut sessions = self.sessions.lock();
-        let entry = sessions.get_mut(&id).ok_or_else(|| {
-            self.metrics.not_found.fetch_add(1, Ordering::Relaxed);
-            ServiceError::NotFound(format!("no session {id}"))
-        })?;
-        self.apply_events(entry, body)?;
-        Ok(entry.target.len())
+        let inc = sessions.get_mut(&id).ok_or_else(|| self.no_session(id))?;
+        self.apply_events(inc, body)
     }
 
-    /// Parses one events body and merges it into the session's target list,
-    /// validating everything that would otherwise panic the engine (duplicate
-    /// ids, reused event times, contradictory completions), then syncs the
-    /// incremental session. Events apply in order; on error the already-applied
-    /// prefix stays (the error names the offending op).
-    fn apply_events(&self, entry: &mut SessionEntry, body: &str) -> Result<usize, ServiceError> {
-        let parsed = parse_history(body).map_err(|e| {
+    /// Parses one events body and applies it to the session with
+    /// [`IncrementalChecker::try_extend`]: the body's events (invocations and
+    /// responses, exact repeats skipped) apply in event-time order, each checked
+    /// before it changes the session. On error the events before the offending one
+    /// stay applied, and the error names the offending op. Returns the session's
+    /// operation count.
+    fn apply_events(
+        &self,
+        inc: &mut IncrementalChecker<Value>,
+        body: &str,
+    ) -> Result<usize, ServiceError> {
+        let parse_err = |message: String| {
             self.metrics.parse_errors.fetch_add(1, Ordering::Relaxed);
-            ServiceError::Parse(e.to_string())
-        })?;
+            ServiceError::Parse(message)
+        };
+        let parsed = parse_history(body).map_err(|e| parse_err(e.to_string()))?;
         let ops = parsed.operations();
-        if entry.target.len() + ops.len() > self.config.max_ops {
+        if inc.len() + ops.len() > self.config.max_ops {
             self.metrics
                 .rejected_oversize
                 .fetch_add(1, Ordering::Relaxed);
             return Err(ServiceError::Oversize(format!(
                 "session would grow to {} operations, limit is {}",
-                entry.target.len() + ops.len(),
+                inc.len() + ops.len(),
                 self.config.max_ops
             )));
         }
-        let mut applied = 0u64;
-        for op in ops {
-            let parse_err = |m: String| {
-                self.metrics.parse_errors.fetch_add(1, Ordering::Relaxed);
-                ServiceError::Parse(m)
-            };
-            if let Some(&i) = entry.ids.get(&op.id.0) {
-                let existing = &entry.target[i];
-                if existing == op {
-                    continue; // idempotent repeat
-                }
-                let Some(resp) = op.responded_at else {
-                    return Err(parse_err(format!(
-                        "op{} disagrees with its already-recorded invocation",
-                        op.id.0
-                    )));
-                };
-                if existing.responded_at.is_some() {
-                    return Err(parse_err(format!("op{} is already completed", op.id.0)));
-                }
-                let agrees = existing.process == op.process
-                    && existing.register == op.register
-                    && existing.invoked_at == op.invoked_at
-                    && match (&existing.kind, &op.kind) {
-                        (OpKind::Write(a), OpKind::Write(b)) => a == b,
-                        (OpKind::Read(_), OpKind::Read(_)) => true,
-                        _ => false,
-                    };
-                if !agrees {
-                    return Err(parse_err(format!(
-                        "completion of op{} contradicts its pending invocation",
-                        op.id.0
-                    )));
-                }
-                if !entry.times.insert(resp.0) {
-                    return Err(parse_err(format!(
-                        "response time t{} of op{} is already used",
-                        resp.0, op.id.0
-                    )));
-                }
-                entry.target[i] = op.clone();
-                applied += 1;
-            } else {
-                if !entry.times.insert(op.invoked_at.0) {
-                    return Err(parse_err(format!(
-                        "invocation time t{} of op{} is already used",
-                        op.invoked_at.0, op.id.0
-                    )));
-                }
-                if let Some(resp) = op.responded_at {
-                    if !entry.times.insert(resp.0) {
-                        entry.times.remove(&op.invoked_at.0);
-                        return Err(parse_err(format!(
-                            "response time t{} of op{} is already used",
-                            resp.0, op.id.0
-                        )));
-                    }
-                }
-                entry.ids.insert(op.id.0, entry.target.len());
-                entry.target.push(op.clone());
-                applied += 1;
-            }
-        }
-        entry.inc.sync_with_ops(&entry.target);
+        let applied = inc.try_extend(ops).map_err(|e| parse_err(e.to_string()))?;
         self.metrics
             .session_events
-            .fetch_add(applied, Ordering::Relaxed);
-        Ok(entry.target.len())
+            .fetch_add(applied as u64, Ordering::Relaxed);
+        Ok(inc.len())
     }
 
     /// `GET /sessions/{id}/verdict`: the session's incremental verdict as JSON —
     /// `{"verdict":<batch-identical verdict>,"incremental":{...counters...}}`.
     pub fn session_verdict(&self, id: u64) -> Result<String, ServiceError> {
         let mut sessions = self.sessions.lock();
-        let entry = sessions.get_mut(&id).ok_or_else(|| {
-            self.metrics.not_found.fetch_add(1, Ordering::Relaxed);
-            ServiceError::NotFound(format!("no session {id}"))
-        })?;
+        let inc = sessions.get_mut(&id).ok_or_else(|| self.no_session(id))?;
         let _budget = self.reserve(self.config.state_budget)?;
-        let verdict = entry.inc.verdict();
-        let sketch = entry.inc.state_sketch();
+        let verdict = inc.verdict();
+        let sketch = inc.state_sketch();
         self.metrics
             .session_verdicts
             .fetch_add(1, Ordering::Relaxed);
@@ -620,18 +523,14 @@ impl CheckService {
     /// text — what a differential client replays through the library directly.
     pub fn session_history(&self, id: u64) -> Result<String, ServiceError> {
         let sessions = self.sessions.lock();
-        let entry = sessions.get(&id).ok_or_else(|| {
-            self.metrics.not_found.fetch_add(1, Ordering::Relaxed);
-            ServiceError::NotFound(format!("no session {id}"))
-        })?;
-        Ok(format_history(entry.inc.history()))
+        let inc = sessions.get(&id).ok_or_else(|| self.no_session(id))?;
+        Ok(format_history(inc.history()))
     }
 
     /// `DELETE /sessions/{id}`.
     pub fn delete_session(&self, id: u64) -> Result<(), ServiceError> {
         if self.sessions.lock().remove(&id).is_none() {
-            self.metrics.not_found.fetch_add(1, Ordering::Relaxed);
-            return Err(ServiceError::NotFound(format!("no session {id}")));
+            return Err(self.no_session(id));
         }
         Ok(())
     }

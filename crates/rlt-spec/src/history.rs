@@ -17,6 +17,72 @@ pub struct History<V> {
     ops: Vec<Operation<V>>,
 }
 
+/// A rule of [`History::try_from_operations`] that an operation breaks, or, for
+/// `ContradictsPending`, a rule of an incremental session's events.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HistoryRule {
+    /// Rule 1: the operation's id is already taken.
+    DuplicateId,
+    /// Rule 2: one of the operation's events is at a time already taken.
+    DuplicateTime(Time),
+    /// Rule 3: the response (second) is not strictly after the invocation (first).
+    ResponseNotAfterInvocation(Time, Time),
+    /// Rule 4: an event is at `Time(u64::MAX)`.
+    TimeOutOfRange,
+    /// Rule 5: a completed read carries no return value.
+    ReadWithoutValue,
+    /// A session event names a pending operation but does not complete it: it has
+    /// no response, or another process, register, invocation time, kind or value.
+    ContradictsPending,
+}
+
+impl HistoryRule {
+    /// The rule among 3–5, those about one operation alone, that `op` breaks.
+    pub(crate) fn broken_by<V>(op: &Operation<V>) -> Option<HistoryRule> {
+        if op.invoked_at.0 == u64::MAX || op.responded_at == Some(Time(u64::MAX)) {
+            return Some(HistoryRule::TimeOutOfRange);
+        }
+        let resp = op.responded_at?;
+        if resp <= op.invoked_at {
+            return Some(HistoryRule::ResponseNotAfterInvocation(op.invoked_at, resp));
+        }
+        matches!(op.kind, OpKind::Read(None)).then_some(HistoryRule::ReadWithoutValue)
+    }
+}
+
+/// An operation that breaks a [`HistoryRule`]: its position in the input, its id,
+/// and the rule.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HistoryError {
+    /// Position of the offending operation in the input slice.
+    pub position: usize,
+    /// The offending operation's id.
+    pub op: OpId,
+    /// The rule it breaks.
+    pub rule: HistoryRule,
+}
+
+impl fmt::Display for HistoryError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        use HistoryRule as R;
+        let op = self.op;
+        match self.rule {
+            R::DuplicateId => write!(f, "duplicate operation id `{op}`"),
+            R::DuplicateTime(t) => write!(f, "duplicate event time `{t}` in {op}"),
+            R::ResponseNotAfterInvocation(i, r) => {
+                write!(f, "{op}: response `{r}` does not follow invocation `{i}`")
+            }
+            R::TimeOutOfRange => write!(f, "{op}: event time `t{}` is out of range", u64::MAX),
+            R::ReadWithoutValue => {
+                write!(f, "{op}: a completed read needs a return value, not `?`")
+            }
+            R::ContradictsPending => write!(f, "{op} contradicts its pending invocation"),
+        }
+    }
+}
+
+impl std::error::Error for HistoryError {}
+
 impl<V: Clone> History<V> {
     /// Creates an empty history.
     #[must_use]
@@ -24,35 +90,54 @@ impl<V: Clone> History<V> {
         History { ops: Vec::new() }
     }
 
+    /// Creates a history from a list of operations, checking the history rules —
+    /// the one place they are stated:
+    ///
+    /// 1. operation ids are unique;
+    /// 2. event times (invocations and responses) are distinct;
+    /// 3. a response comes strictly after its own invocation;
+    /// 4. no event is at `t18446744073709551615` (`u64::MAX`): the checker
+    ///    completes pending operations one tick past the last event, and its
+    ///    witness merge uses `u64::MAX` as the "never responds" mark;
+    /// 5. a completed read carries its return value.
+    ///
+    /// # Errors
+    ///
+    /// The first operation, in input order, that breaks a rule, with its position
+    /// in `ops` and the rule.
+    pub fn try_from_operations(ops: Vec<Operation<V>>) -> Result<Self, HistoryError> {
+        let mut ids = BTreeSet::new();
+        let mut times = BTreeSet::new();
+        for (position, op) in ops.iter().enumerate() {
+            let fail = |rule| HistoryError {
+                position,
+                op: op.id,
+                rule,
+            };
+            if !ids.insert(op.id) {
+                return Err(fail(HistoryRule::DuplicateId));
+            }
+            if let Some(rule) = HistoryRule::broken_by(op) {
+                return Err(fail(rule));
+            }
+            for t in std::iter::once(op.invoked_at).chain(op.responded_at) {
+                if !times.insert(t) {
+                    return Err(fail(HistoryRule::DuplicateTime(t)));
+                }
+            }
+        }
+        Ok(History { ops })
+    }
+
     /// Creates a history from a list of operations.
     ///
     /// # Panics
     ///
-    /// Panics if two operations share an [`OpId`], if any response time precedes its own
-    /// invocation time, or if two events share a time.
+    /// Panics with the [`HistoryError`] message if `ops` breaks a rule of
+    /// [`History::try_from_operations`].
     #[must_use]
     pub fn from_operations(ops: Vec<Operation<V>>) -> Self {
-        let mut ids = BTreeSet::new();
-        let mut times = BTreeSet::new();
-        for op in &ops {
-            assert!(ids.insert(op.id), "duplicate operation id {:?}", op.id);
-            assert!(
-                times.insert(op.invoked_at),
-                "duplicate event time {:?}",
-                op.invoked_at
-            );
-            if let Some(r) = op.responded_at {
-                assert!(
-                    r > op.invoked_at,
-                    "operation {:?} responds at {:?} before its invocation {:?}",
-                    op.id,
-                    r,
-                    op.invoked_at
-                );
-                assert!(times.insert(r), "duplicate event time {:?}", r);
-            }
-        }
-        History { ops }
+        Self::try_from_operations(ops).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// All operations, in order of invocation time.
@@ -61,24 +146,10 @@ impl<V: Clone> History<V> {
         &self.ops
     }
 
-    /// Appends an operation without re-validating the whole history. The caller
-    /// (the incremental session) upholds `from_operations`' invariants itself:
-    /// fresh id, fresh event times, response after invocation.
-    pub(crate) fn push_unchecked(&mut self, op: Operation<V>) {
-        self.ops.push(op);
-    }
-
-    /// Removes every operation, keeping the allocation, for the incremental
-    /// session's [`reset`](crate::IncrementalChecker::reset).
-    pub(crate) fn clear_ops(&mut self) {
-        self.ops.clear();
-    }
-
-    /// Mutable access to one operation by position, for the incremental session's
-    /// in-place completion of a pending op. Same invariant caveat as
-    /// [`History::push_unchecked`].
-    pub(crate) fn op_mut(&mut self, index: usize) -> &mut Operation<V> {
-        &mut self.ops[index]
+    /// The operation list itself, for the incremental session, which checks the
+    /// rules of [`History::try_from_operations`] for each event before it edits.
+    pub(crate) fn ops_mut(&mut self) -> &mut Vec<Operation<V>> {
+        &mut self.ops
     }
 
     /// The number of operations (complete or pending) in the history.
@@ -460,6 +531,67 @@ mod tests {
         op2.invoked_at = Time(3);
         op2.responded_at = Some(Time(4));
         let _ = History::from_operations(vec![op, op2]);
+    }
+
+    /// One row per rule: the first offending op's position, and the rule.
+    #[test]
+    fn try_from_operations_names_rule_and_position() {
+        let op = |id: u64, kind: OpKind<i64>, inv: u64, resp: Option<u64>| Operation {
+            id: OpId(id),
+            process: ProcessId(0),
+            register: RegisterId(0),
+            kind,
+            invoked_at: Time(inv),
+            responded_at: resp.map(Time),
+        };
+        let w = |id, inv, resp| op(id, OpKind::Write(1), inv, resp);
+        let max = u64::MAX;
+        let cases = [
+            (
+                vec![w(0, 1, Some(2)), w(0, 3, Some(4))],
+                1,
+                HistoryRule::DuplicateId,
+                "duplicate operation id `op0`",
+            ),
+            (
+                vec![w(0, 2, Some(3)), w(1, 4, None), w(2, 1, Some(4))],
+                2,
+                HistoryRule::DuplicateTime(Time(4)),
+                "duplicate event time `t4` in op2",
+            ),
+            (
+                vec![w(0, 2, Some(1))],
+                0,
+                HistoryRule::ResponseNotAfterInvocation(Time(2), Time(1)),
+                "does not follow",
+            ),
+            (
+                vec![w(0, 1, Some(2)), w(1, max, None)],
+                1,
+                HistoryRule::TimeOutOfRange,
+                "out of range",
+            ),
+            (
+                vec![w(0, 1, Some(max))],
+                0,
+                HistoryRule::TimeOutOfRange,
+                "out of range",
+            ),
+            (
+                vec![w(0, 1, Some(2)), op(1, OpKind::Read(None), 3, Some(4))],
+                1,
+                HistoryRule::ReadWithoutValue,
+                "op1: a completed read needs",
+            ),
+        ];
+        for (ops, position, rule, needle) in cases {
+            let e = History::try_from_operations(ops).expect_err(needle);
+            assert_eq!((e.position, e.rule), (position, rule), "{e}");
+            assert!(e.to_string().contains(needle), "{e}");
+        }
+        // A pending read carries no value, and that is fine.
+        let h = History::try_from_operations(vec![op(0, OpKind::Read(None), 1, None)]);
+        assert_eq!(h.map(|h| h.len()), Ok(1));
     }
 
     #[test]

@@ -90,7 +90,7 @@
 //! assert!(!monitor.verdict().is_linearizable());
 //! ```
 
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::checker::{order_to_seq, CheckStats, Verdict};
@@ -98,7 +98,7 @@ use crate::engine::{
     memo_size_class, merge_witness_orders, resume_witness, search_witness, words_for, Engine,
     LocalOp, ScratchPool, SearchScratch, SearchStats, StateSketch, SubProblem, WORD_BITS,
 };
-use crate::history::History;
+use crate::history::{History, HistoryError, HistoryRule};
 use crate::ids::{OpId, RegisterId};
 use crate::op::{OpKind, Operation};
 use crate::sequential::SeqHistory;
@@ -106,8 +106,8 @@ use crate::value::RegisterValue;
 
 /// Multiplicative hasher for [`OpId`]s: the id is a single `u64`, so a Fibonacci
 /// multiply mixes it far cheaper than SipHash while keeping high bits well spread
-/// for the table's mask. Duplicate-id detection runs once per appended op — on the
-/// hot monitoring path — which is why the default DoS-resistant hasher is overkill.
+/// for the table's mask. The id lookup runs once per event — on the hot monitoring
+/// path — which is why the default DoS-resistant hasher is overkill.
 #[derive(Debug, Default)]
 struct OpIdHasher(u64);
 
@@ -125,12 +125,12 @@ impl Hasher for OpIdHasher {
     }
 }
 
-type OpIdSet = HashSet<OpId, BuildHasherDefault<OpIdHasher>>;
+type OpIdMap = HashMap<OpId, usize, BuildHasherDefault<OpIdHasher>>;
 
-/// One diffed event of a [`sync_with_ops`](IncrementalChecker::sync_with_ops) call:
-/// an index into the target slice, invoked or completed. The buffer holding these
+/// One diffed event of a [`try_extend`](IncrementalChecker::try_extend) call: an
+/// index into the input slice, invoked or completed. The buffer holding these
 /// lives on the session so a per-delivery monitor poll allocates nothing.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum SyncEvent {
     Invoke(usize),
     Complete(usize),
@@ -422,10 +422,11 @@ pub struct IncrementalChecker<V> {
     regs: Vec<RegisterSession>,
     /// History indices of pending ops, ascending.
     pending: Vec<usize>,
-    seen_ids: OpIdSet,
-    /// Reused buffer of [`sync_with_ops`] event diffs (empty between calls).
+    /// Op id → history index, over every recorded op.
+    op_index: OpIdMap,
+    /// Reused buffer of [`try_extend`] event diffs (empty between calls).
     ///
-    /// [`sync_with_ops`]: IncrementalChecker::sync_with_ops
+    /// [`try_extend`]: IncrementalChecker::try_extend
     sync_events: Vec<(u64, SyncEvent)>,
     /// Scratch arenas for the full-fallback engine runs.
     pool: ScratchPool,
@@ -450,7 +451,7 @@ impl<V: RegisterValue> IncrementalChecker<V> {
             registers: Vec::new(),
             regs: Vec::new(),
             pending: Vec::new(),
-            seen_ids: OpIdSet::default(),
+            op_index: OpIdMap::default(),
             sync_events: Vec::new(),
             pool: ScratchPool::new(),
             cached_verdict: None,
@@ -471,7 +472,7 @@ impl<V: RegisterValue> IncrementalChecker<V> {
     /// fresh run pays no cold allocations, but the session is observably identical
     /// to a freshly built one — verdicts, counters, everything.
     pub fn reset(&mut self) {
-        self.history.clear_ops();
+        self.history.ops_mut().clear();
         self.max_time = 0;
         self.filtered.clear();
         self.values.reset(&self.init);
@@ -480,7 +481,7 @@ impl<V: RegisterValue> IncrementalChecker<V> {
             self.pool.release(sess.scratch);
         }
         self.pending.clear();
-        self.seen_ids.clear();
+        self.op_index.clear();
         self.cached_verdict = None;
         self.stats = IncrementalStats::default();
     }
@@ -503,38 +504,72 @@ impl<V: RegisterValue> IncrementalChecker<V> {
         self.stats
     }
 
-    /// Appends one operation, or — when `op.id` matches a pending operation already
-    /// in the session — applies its completion in place (the op must then agree with
-    /// the pending one on process, register, invocation, and written value).
-    ///
-    /// Events arriving in time order (every new invocation and every response after
-    /// all events so far) take the incremental fast path. Out-of-order events are
-    /// accepted but trigger a full revalidation and mirror rebuild.
+    /// Applies one event as [`try_extend`](IncrementalChecker::try_extend) does, except
+    /// that a new complete operation is one event. Events after every recorded one
+    /// take the incremental fast path; out-of-order events are accepted but trigger
+    /// a full revalidation and mirror rebuild.
     ///
     /// # Panics
     ///
-    /// Panics on the same malformed inputs [`History::from_operations`] rejects:
-    /// duplicate op ids, duplicate event times, or a response at or before its own
-    /// invocation — and on a completion that contradicts its pending op.
+    /// Panics with the [`HistoryError`] message on an event `try_extend` rejects.
     pub fn append(&mut self, op: Operation<V>) {
-        self.cached_verdict = None;
-        if let Some(pos) = self
-            .pending
-            .iter()
-            .position(|&i| self.history.operations()[i].id == op.id)
-        {
-            self.apply_completion(pos, op);
-        } else {
-            self.append_new(op);
+        if let Err(e) = self.apply_event(op, 0) {
+            panic!("{e}");
         }
     }
 
-    /// Appends a batch of operations/completions in order; equivalent to calling
-    /// [`append`](IncrementalChecker::append) on each.
-    pub fn append_batch<I: IntoIterator<Item = Operation<V>>>(&mut self, ops: I) {
-        for op in ops {
-            self.append(op);
+    /// Extends the session with a batch of events, each a new operation, the
+    /// completion of a pending one (agreeing with it on process, register,
+    /// invocation, and kind or written value), or an exact repeat of a recorded one
+    /// (skipped). A new complete operation counts as two events, its invocation and
+    /// its response. The events apply in event-time order, so a batch listed in any
+    /// order stays on the fast path whenever its events follow the session's.
+    ///
+    /// Returns how many operations of `events` were not exact repeats.
+    ///
+    /// # Errors
+    ///
+    /// Each event is checked against the rules of [`History::try_from_operations`],
+    /// and a completion also against its pending operation, before it changes
+    /// anything. The first rejected event stops the batch: the session keeps exactly
+    /// the events before it, and the [`HistoryError`] gives its position in `events`.
+    pub fn try_extend(&mut self, events: &[Operation<V>]) -> Result<usize, HistoryError> {
+        let mut diff = std::mem::take(&mut self.sync_events);
+        let mut changed = 0;
+        for (i, op) in events.iter().enumerate() {
+            match self.op_index.get(&op.id) {
+                Some(&idx) if self.history.operations()[idx] == *op => continue,
+                Some(_) => diff.push((
+                    op.responded_at.unwrap_or(op.invoked_at).0,
+                    SyncEvent::Complete(i),
+                )),
+                None => {
+                    diff.push((op.invoked_at.0, SyncEvent::Invoke(i)));
+                    if let Some(resp) = op.responded_at {
+                        diff.push((resp.0, SyncEvent::Complete(i)));
+                    }
+                }
+            }
+            changed += 1;
         }
+        diff.sort_unstable();
+        let result = diff.iter().try_for_each(|&(_, ev)| {
+            let (i, op) = match ev {
+                SyncEvent::Invoke(i) => {
+                    let mut op = events[i].clone();
+                    op.responded_at = None;
+                    if matches!(op.kind, OpKind::Read(_)) {
+                        op.kind = OpKind::Read(None);
+                    }
+                    (i, op)
+                }
+                SyncEvent::Complete(i) => (i, events[i].clone()),
+            };
+            self.apply_event(op, i)
+        });
+        diff.clear();
+        self.sync_events = diff;
+        result.map(|()| changed)
     }
 
     /// Brings the session up to date with `target`, which must be the session's
@@ -545,8 +580,7 @@ impl<V: RegisterValue> IncrementalChecker<V> {
     ///
     /// # Panics
     ///
-    /// Panics if `target` is shorter than the session's history or disagrees with it
-    /// on an already-recorded op.
+    /// As [`sync_with_ops`](IncrementalChecker::sync_with_ops).
     pub fn sync_with(&mut self, target: &History<V>) {
         self.sync_with_ops(target.operations());
     }
@@ -556,6 +590,12 @@ impl<V: RegisterValue> IncrementalChecker<V> {
     /// first. A live monitor polling a cluster's in-place operation record skips
     /// the per-poll clone-and-revalidate entirely; the session validates the diff
     /// it applies (and falls back to a full revalidation on out-of-order events).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `target_ops` is shorter than the session's history or disagrees
+    /// with it on an already-recorded op, and with the [`HistoryError`] message on an
+    /// event [`try_extend`](IncrementalChecker::try_extend) would reject.
     pub fn sync_with_ops(&mut self, target_ops: &[Operation<V>]) {
         let have = self.history.len();
         assert!(
@@ -564,16 +604,7 @@ impl<V: RegisterValue> IncrementalChecker<V> {
             target_ops.len(),
             have
         );
-        debug_assert!(
-            self.history
-                .operations()
-                .iter()
-                .zip(target_ops)
-                .all(|(a, b)| a.id == b.id && a.invoked_at == b.invoked_at),
-            "incremental session: target history diverged from the session's prefix"
-        );
-        let mut events = std::mem::take(&mut self.sync_events);
-        events.clear();
+        let mut events = Vec::new();
         for &idx in &self.pending {
             let theirs = &target_ops[idx];
             assert_eq!(
@@ -581,68 +612,71 @@ impl<V: RegisterValue> IncrementalChecker<V> {
                 theirs.id,
                 "incremental session: target history diverged at op {idx}"
             );
-            if let Some(resp) = theirs.responded_at {
-                events.push((resp.0, SyncEvent::Complete(idx)));
+            if theirs.is_complete() {
+                events.push(theirs.clone());
             }
         }
-        for (i, op) in target_ops.iter().enumerate().skip(have) {
-            events.push((op.invoked_at.0, SyncEvent::Invoke(i)));
-            if let Some(resp) = op.responded_at {
-                events.push((resp.0, SyncEvent::Complete(i)));
-            }
+        events.extend_from_slice(&target_ops[have..]);
+        if let Err(e) = self.try_extend(&events) {
+            panic!("{e}");
         }
-        events.sort_unstable_by_key(|&(t, _)| t);
-        for &(_, ev) in &events {
-            match ev {
-                SyncEvent::Invoke(i) => {
-                    let mut op = target_ops[i].clone();
-                    op.responded_at = None;
-                    if matches!(op.kind, OpKind::Read(_)) {
-                        op.kind = OpKind::Read(None);
-                    }
-                    self.append(op);
-                }
-                SyncEvent::Complete(i) => self.append(target_ops[i].clone()),
-            }
-        }
-        events.clear();
-        self.sync_events = events;
+        assert_eq!(
+            self.history.len(),
+            target_ops.len(),
+            "incremental session: target history repeats a recorded op"
+        );
     }
 
     // -- event application ---------------------------------------------------
 
-    fn append_new(&mut self, op: Operation<V>) {
-        assert!(
-            self.seen_ids.insert(op.id),
-            "duplicate operation id {:?}",
-            op.id
-        );
-        if let Some(resp) = op.responded_at {
-            assert!(
-                resp > op.invoked_at,
-                "operation {:?} responds at {:?} before its invocation {:?}",
-                op.id,
-                resp,
-                op.invoked_at
-            );
+    /// The checked single-event step behind [`append`](IncrementalChecker::append)
+    /// and [`try_extend`](IncrementalChecker::try_extend): nothing changes unless
+    /// the event is accepted. `position` goes into the error.
+    fn apply_event(&mut self, op: Operation<V>, position: usize) -> Result<(), HistoryError> {
+        let id = op.id;
+        let applied = match self.op_index.get(&id) {
+            None => self.append_new(op),
+            Some(&idx) if self.history.operations()[idx] == op => return Ok(()),
+            Some(&idx) if self.history.operations()[idx].is_complete() => {
+                Err(HistoryRule::DuplicateId)
+            }
+            Some(&idx) => self.apply_completion(idx, op),
+        };
+        if applied.is_ok() {
+            self.cached_verdict = None;
+        }
+        applied.map_err(|rule| HistoryError {
+            position,
+            op: id,
+            rule,
+        })
+    }
+
+    /// Appends an op whose id is not recorded yet.
+    fn append_new(&mut self, op: Operation<V>) -> Result<(), HistoryRule> {
+        if let Some(rule) = HistoryRule::broken_by(&op) {
+            return Err(rule);
         }
         if !self.history.is_empty() && op.invoked_at.0 <= self.max_time {
             // Out-of-order append: revalidate wholesale and rebuild the mirror.
+            // The recorded history is valid and the id is fresh, so only a reused
+            // event time can fail here.
             let mut ops = self.history.operations().to_vec();
             ops.push(op);
-            self.history = History::from_operations(ops);
+            self.history = History::try_from_operations(ops).map_err(|e| e.rule)?;
             self.stats.ops_appended += 1;
             self.full_rebuild();
-            return;
+            return Ok(());
         }
         let idx = self.history.len();
+        self.op_index.insert(op.id, idx);
         self.max_time = op.responded_at.map_or(op.invoked_at.0, |t| t.0);
         let interned = if op.is_complete() || op.is_write() {
             let g = self.filtered.len() as u32;
-            let value = match &op.kind {
-                OpKind::Write(v) | OpKind::Read(Some(v)) => v,
-                OpKind::Read(None) => unreachable!("pending reads are not filtered"),
-            };
+            let value = op
+                .written_value()
+                .or(op.read_value())
+                .expect("pending reads are not filtered");
             Some((g, self.values.intern_at(value, g as usize)))
         } else {
             None
@@ -657,62 +691,56 @@ impl<V: RegisterValue> IncrementalChecker<V> {
         let resp = op.responded_at.map(|t| t.0);
         // Push before extending the register: a rebuild inside `extend_register`
         // re-reads every filtered op, the new one included, from the history.
-        self.history.push_unchecked(op);
+        self.history.ops_mut().push(op);
         self.stats.ops_appended += 1;
         if let Some((g, id)) = interned {
             self.filtered.push(idx);
             self.extend_register(register, g, id, is_write, is_complete, inv, resp);
         }
+        Ok(())
     }
 
-    fn apply_completion(&mut self, pending_pos: usize, op: Operation<V>) {
-        let idx = self.pending[pending_pos];
+    /// Completes the pending op at history index `idx` with `op`.
+    fn apply_completion(&mut self, idx: usize, op: Operation<V>) -> Result<(), HistoryRule> {
         let existing = &self.history.operations()[idx];
-        assert_eq!(existing.process, op.process, "completion changes process");
-        assert_eq!(
-            existing.register, op.register,
-            "completion changes register"
-        );
-        assert_eq!(
-            existing.invoked_at, op.invoked_at,
-            "completion changes invocation time"
-        );
-        let resp = op
-            .responded_at
-            .expect("completion event must carry a response time");
-        assert!(
-            resp > op.invoked_at,
-            "operation {:?} responds at {:?} before its invocation {:?}",
-            op.id,
-            resp,
-            op.invoked_at
-        );
-        let is_write = match (&existing.kind, &op.kind) {
-            (OpKind::Write(a), OpKind::Write(b)) => {
-                assert!(a == b, "completion changes the written value");
-                true
-            }
-            (OpKind::Read(_), OpKind::Read(Some(_))) => false,
-            _ => panic!("completion changes the operation kind"),
-        };
+        let agrees = op.is_complete()
+            && existing.process == op.process
+            && existing.register == op.register
+            && existing.invoked_at == op.invoked_at
+            && match (&existing.kind, &op.kind) {
+                (OpKind::Write(a), OpKind::Write(b)) => a == b,
+                (OpKind::Read(_), OpKind::Read(_)) => true,
+                _ => false,
+            };
+        if !agrees {
+            return Err(HistoryRule::ContradictsPending);
+        }
+        if let Some(rule) = HistoryRule::broken_by(&op) {
+            return Err(rule);
+        }
+        let resp = op.responded_at.expect("checked above");
+        let is_write = op.is_write();
         if resp.0 <= self.max_time {
             // A response landing before an already-recorded event: revalidate
-            // wholesale and rebuild the mirror.
+            // wholesale (only a reused event time can fail) and rebuild the mirror.
             let mut ops = self.history.operations().to_vec();
             ops[idx] = op;
-            self.history = History::from_operations(ops);
-            self.pending.remove(pending_pos);
+            self.history = History::try_from_operations(ops).map_err(|e| e.rule)?;
             self.stats.completions += 1;
             self.full_rebuild();
-            return;
+            return Ok(());
         }
+        let pending_pos = self
+            .pending
+            .binary_search(&idx)
+            .expect("an op without a response is pending");
         self.pending.remove(pending_pos);
         self.max_time = resp.0;
         let register = op.register;
         if is_write {
             // Flip the pending write in place: its response is the latest event, so
             // no precedence row changes and the frozen search stays resumable.
-            *self.history.op_mut(idx) = op;
+            self.history.ops_mut()[idx] = op;
             let g = self.filtered.partition_point(|&h| h < idx);
             debug_assert_eq!(self.filtered[g], idx);
             let k = self
@@ -734,7 +762,7 @@ impl<V: RegisterValue> IncrementalChecker<V> {
             sess.completed_mask[local / WORD_BITS] |= 1u64 << (local % WORD_BITS);
             sess.max_resp = sess.max_resp.max(resp.0);
             self.stats.completions += 1;
-            return;
+            return Ok(());
         }
         // Pending read completing: the one event that joins the filtered list at an
         // *interior* position when any filtered op was invoked after it.
@@ -743,14 +771,14 @@ impl<V: RegisterValue> IncrementalChecker<V> {
             _ => unreachable!("checked above"),
         };
         let inv = op.invoked_at.0;
-        *self.history.op_mut(idx) = op;
+        self.history.ops_mut()[idx] = op;
         let p = self.filtered.partition_point(|&h| h < idx);
         if p == self.filtered.len() {
             let id = self.values.intern_at(&read_value, p);
             self.filtered.push(idx);
             self.extend_register(register, p as u32, id, false, true, inv, Some(resp.0));
             self.stats.completions += 1;
-            return;
+            return Ok(());
         }
         // Mid-list insert. The engine interns values in filtered order; if this
         // read's value would now be sighted first at position `p`, every later id
@@ -763,7 +791,7 @@ impl<V: RegisterValue> IncrementalChecker<V> {
         self.stats.completions += 1;
         if !id_stable {
             self.full_rebuild();
-            return;
+            return Ok(());
         }
         for fp in &mut self.values.first_pos {
             if *fp != usize::MAX && *fp >= p {
@@ -796,6 +824,7 @@ impl<V: RegisterValue> IncrementalChecker<V> {
         let q = sess.members.partition_point(|&m| m < p as u32);
         sess.members.insert(q, p as u32);
         self.rebuild_register(k);
+        Ok(())
     }
 
     /// Appends filtered op `g` to its register's subproblem. Fast path: O(words) —
@@ -876,17 +905,17 @@ impl<V: RegisterValue> IncrementalChecker<V> {
         self.max_time = self.history.max_time().0;
         self.filtered.clear();
         self.pending.clear();
-        self.seen_ids.clear();
+        self.op_index.clear();
         self.values = OwnedInterner::new(&self.init);
         let ops = self.history.operations();
         for (idx, op) in ops.iter().enumerate() {
-            self.seen_ids.insert(op.id);
+            self.op_index.insert(op.id, idx);
             if op.is_complete() || op.is_write() {
                 let g = self.filtered.len();
-                let value = match &op.kind {
-                    OpKind::Write(v) | OpKind::Read(Some(v)) => v,
-                    OpKind::Read(None) => unreachable!("pending reads are not filtered"),
-                };
+                let value = op
+                    .written_value()
+                    .or(op.read_value())
+                    .expect("pending reads are not filtered");
                 self.values.intern_at(value, g);
                 self.filtered.push(idx);
             }
@@ -1481,7 +1510,13 @@ mod tests {
             invoked_at: Time(4),
             responded_at: Some(Time(5)),
         };
-        session.append_batch([w0.clone(), r1_pending.clone(), w2.clone()]);
+        // Listed out of invocation order: the batch applies in event-time order.
+        let batch = [w2.clone(), w0.clone(), r1_pending.clone()];
+        assert_eq!(session.try_extend(&batch), Ok(3));
+        assert_eq!(
+            session.history().operations(),
+            [w0.clone(), r1_pending.clone(), w2.clone()]
+        );
         assert!(session.verdict().is_linearizable());
         // The read responds last but was invoked before w2: mid-list insert.
         let r1_done = Operation {
@@ -1494,8 +1529,50 @@ mod tests {
         let batch = checker.check(&History::from_operations(vec![w0, r1_done, w2]));
         assert_eq!(incremental.as_verdict(), &batch);
         assert!(incremental.is_linearizable());
-        assert_eq!(session.stats().completions, 1);
+        // The batch's two writes each count an invocation and a completion.
+        assert_eq!(session.stats().completions, 3);
         assert_eq!(session.stats().full_rebuilds, 0);
+    }
+
+    /// A rejected event stops its batch: the session keeps exactly the events
+    /// before it in event-time order, and an exact repeat is a no-op.
+    #[test]
+    fn try_extend_stops_at_the_first_rejected_event() {
+        let op = |id: u64, kind: OpKind<i64>, inv: u64, resp: Option<u64>| Operation {
+            id: OpId(id),
+            process: ProcessId(id as usize),
+            register: RegisterId(0),
+            kind,
+            invoked_at: Time(inv),
+            responded_at: resp.map(Time),
+        };
+        let mut session = Checker::new(0i64).incremental();
+        let w0 = op(0, OpKind::Write(1), 1, Some(2));
+        session.append(w0.clone());
+        session.append(w0.clone());
+        assert_eq!(session.len(), 1);
+        // In event-time order: op2 invoked (t3), op1 invoked (t4), op2's response
+        // reuses t4 and is rejected; op1's response (t6) never applies.
+        let batch = [
+            op(1, OpKind::Read(Some(1)), 4, Some(6)),
+            op(2, OpKind::Write(2), 3, Some(4)),
+        ];
+        let e = session.try_extend(&batch).expect_err("t4 is reused");
+        assert_eq!(
+            (e.position, e.op, e.rule),
+            (1, OpId(2), HistoryRule::DuplicateTime(Time(4)))
+        );
+        let kept: Vec<_> = session
+            .history()
+            .operations()
+            .iter()
+            .map(|o| o.id)
+            .collect();
+        assert_eq!(kept, [OpId(0), OpId(2), OpId(1)]);
+        assert!(session.history().operations()[1..]
+            .iter()
+            .all(|o| o.is_pending()));
+        assert_eq!(session.try_extend(&[w0]), Ok(0));
     }
 
     /// Appending an op whose invocation is not after every recorded event is

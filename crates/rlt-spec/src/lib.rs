@@ -69,7 +69,7 @@ pub use engine::{
     CheckOutcome, Engine, EnumerationLimitExceeded, Linearizations, MemoStats, ScratchPool,
     SearchScratch, StateSketch,
 };
-pub use history::{History, HistoryBuilder};
+pub use history::{History, HistoryBuilder, HistoryError, HistoryRule};
 pub use ids::{OpId, ProcessId, RegisterId, Time};
 pub use incremental::{IncrementalChecker, IncrementalStats, IncrementalVerdict};
 pub use linearizability::{DEFAULT_ENUMERATION_WORK_LIMIT, DEFAULT_STATE_LIMIT};

@@ -20,11 +20,11 @@
 //! [`Value`] `Display` forms: `init`, `⊥` (accepted also as `bot`), `7`,
 //! `[0,3]`, `(5#2)` — none contain whitespace, so the line tokenizes on spaces.
 //!
-//! [`parse_history`] pre-validates everything [`History::from_operations`]
-//! asserts (duplicate ids, duplicate event times, response ≤ invocation), plus the
-//! one time the checker cannot represent (`t18446744073709551615`), and
-//! reports those as line-numbered [`WireError`]s instead of panicking, so a
-//! service can feed untrusted request bodies straight into it.
+//! [`parse_history`] checks only the grammar; the history rules (unique ids,
+//! distinct event times, and the rest) are checked once, by
+//! [`History::try_from_operations`], whose error is reported as a line-numbered
+//! [`WireError`] instead of a panic, so a service can feed untrusted request
+//! bodies straight into it.
 
 use crate::checker::Verdict;
 use crate::history::History;
@@ -32,7 +32,6 @@ use crate::ids::{OpId, ProcessId, RegisterId, Time};
 use crate::op::{OpKind, Operation};
 use crate::sequential::SeqHistory;
 use crate::value::Value;
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// A line-numbered wire-format parse error.
@@ -100,20 +99,6 @@ fn parse_prefixed(tok: &str, prefix: &str, what: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("bad {what} `{tok}`: expected `{prefix}<n>`"))
 }
 
-/// Parses an event-time token like `t9`. `t18446744073709551615` (`u64::MAX`) is
-/// rejected: the checker completes pending operations one tick past the history's
-/// last event, and the witness merge uses `u64::MAX` as its "never responds" mark.
-fn parse_time(tok: &str, what: &str) -> Result<u64, String> {
-    let t = parse_prefixed(tok, "t", what)?;
-    if t == u64::MAX {
-        return Err(format!(
-            "{what} `{tok}` is out of range: the largest event time is `t{}`",
-            u64::MAX - 1
-        ));
-    }
-    Ok(t)
-}
-
 /// Formats a [`History`] in the wire text grammar, one operation per line.
 ///
 /// The output parses back ([`parse_history`]) to an equal history.
@@ -139,13 +124,16 @@ pub fn format_history(history: &History<Value>) -> String {
 
 /// Parses the wire text grammar into a [`History`].
 ///
-/// Blank lines and lines starting with `#` are ignored. Every constraint
-/// [`History::from_operations`] would assert is checked here first and reported
-/// as a line-numbered [`WireError`], so this never panics on malformed input.
+/// Blank lines and lines starting with `#` are ignored. The whole body is
+/// parsed first; the parsed operations then go through
+/// [`History::try_from_operations`], and a broken history rule comes back as a
+/// [`WireError`] on the offending operation's line. So this never panics on
+/// malformed input, and a syntax error anywhere is reported before a rule
+/// violation.
 pub fn parse_history(text: &str) -> Result<History<Value>, WireError> {
     let mut ops: Vec<Operation<Value>> = Vec::new();
-    let mut ids: BTreeSet<u64> = BTreeSet::new();
-    let mut times: BTreeSet<u64> = BTreeSet::new();
+    // 1-based source line of each parsed operation.
+    let mut lines: Vec<usize> = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
         let line = raw.trim();
         if line.is_empty() || line.starts_with('#') {
@@ -175,11 +163,11 @@ pub fn parse_history(text: &str) -> Result<History<Value>, WireError> {
                 "bad time span `{span}`: expected `t<inv>..[t<resp>]`"
             ))
         })?;
-        let inv = parse_time(inv, "invocation time").map_err(&err)?;
+        let inv = parse_prefixed(inv, "t", "invocation time").map_err(&err)?;
         let resp = if resp.is_empty() {
             None
         } else {
-            Some(parse_time(resp, "response time").map_err(&err)?)
+            Some(parse_prefixed(resp, "t", "response time").map_err(&err)?)
         };
         let kind = match verb {
             "write" => OpKind::Write(parse_value(value).map_err(&err)?),
@@ -191,22 +179,6 @@ pub fn parse_history(text: &str) -> Result<History<Value>, WireError> {
                 )))
             }
         };
-        if !ids.insert(id) {
-            return Err(err(format!("duplicate operation id `op{id}`")));
-        }
-        if !times.insert(inv) {
-            return Err(err(format!("duplicate event time `t{inv}`")));
-        }
-        if let Some(r) = resp {
-            if r <= inv {
-                return Err(err(format!(
-                    "response time `t{r}` does not follow invocation time `t{inv}`"
-                )));
-            }
-            if !times.insert(r) {
-                return Err(err(format!("duplicate event time `t{r}`")));
-            }
-        }
         ops.push(Operation {
             id: OpId(id),
             process: ProcessId(process as usize),
@@ -215,8 +187,12 @@ pub fn parse_history(text: &str) -> Result<History<Value>, WireError> {
             invoked_at: Time(inv),
             responded_at: resp.map(Time),
         });
+        lines.push(idx + 1);
     }
-    Ok(History::from_operations(ops))
+    History::try_from_operations(ops).map_err(|e| WireError {
+        line: lines[e.position],
+        message: e.to_string(),
+    })
 }
 
 /// Escapes a string for embedding in a JSON string literal.
@@ -376,6 +352,13 @@ mod tests {
                 "op0 p0 R0 write 1 @ t1..t2\nop1 p0 R0 write 1 @ t1..t4",
                 2,
                 "duplicate event time",
+            ),
+            ("op0 p0 R0 read ? @ t1..t2", 1, "completed read"),
+            // A syntax error is reported before an earlier rule violation.
+            (
+                "op0 p0 R0 write 1 @ t1..t2\nop0 p0 R0 write 1 @ t3..t4\nbogus",
+                3,
+                "token",
             ),
         ];
         for (text, line, needle) in cases {

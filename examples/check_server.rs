@@ -10,7 +10,10 @@
 //! 4. a monitoring session: `POST /sessions`, events streamed in two
 //!    `POST /sessions/{id}/events` chunks (a pending read completes in the
 //!    second), `GET /sessions/{id}/verdict` after each;
-//! 5. `GET /metrics?deterministic=1` — the counter subset CI diffs.
+//! 5. `GET /metrics?deterministic=1` — the counter subset CI diffs;
+//! 6. malformed bodies: a line-numbered `400` from `POST /check`, and, on the
+//!    session, an events body out of invocation order, a completion of one of
+//!    its ops, and a `400` for an event that reuses a recorded time.
 //!
 //! Every printed line is deterministic (seeded values, counters only), so CI
 //! diffs the output across `RLT_THREADS` settings.
@@ -110,6 +113,26 @@ fn main() {
         .expect("POST /check");
     assert_eq!(resp.status, 400);
     println!("malformed body       -> {} {}", resp.status, resp.body);
+
+    // An events body listed out of invocation order, then the completion of one
+    // of its ops; an event reusing a recorded time is a 400 naming its op.
+    let events = format!("/sessions/{id}/events");
+    let unordered = "op4 p0 R0 write 2 @ t8..\nop3 p1 R0 read ? @ t7..\n";
+    let unordered = client.post(&events, unordered).expect("POST events");
+    let done = client
+        .post(&events, "op4 p0 R0 write 2 @ t8..t9\n")
+        .expect("POST events");
+    let reused = client
+        .post(&events, "op3 p1 R0 read 2 @ t7..t9\n")
+        .expect("POST events");
+    assert_eq!(
+        (unordered.status, done.status, reused.status),
+        (200, 200, 400)
+    );
+    println!(
+        "out-of-order events  -> {} then completion {}, reused time {} {}",
+        unordered.status, done.status, reused.status, reused.body
+    );
 
     handle.shutdown();
     let _ = Value::Init; // the server's value domain, re-exported for clients

@@ -59,6 +59,7 @@ fn malformed_bodies_get_line_numbered_400() {
         ("op0 p0 R0 write what @ t1..t2\n", 1),
         ("op0 p0 R0 poke 1 @ t1..t2\n", 1),
         ("# comment only\nop0 p0 R0 write 1 @ t1..t1\n", 2),
+        ("op0 p0 R0 read ? @ t1..t2\n", 1),
     ];
     for (body, line) in cases {
         let resp = client.post("/check", body).expect("POST /check");
@@ -187,9 +188,24 @@ fn shutdown_drains_in_flight_checks() {
         let mut client = Client::connect(addr).expect("connect");
         client.post("/check", &body).expect("in-flight POST /check")
     });
-    // Shut down while the request may still be in flight: the worker's response
-    // must be a completed 200, never a dropped socket.
-    std::thread::sleep(std::time::Duration::from_millis(2));
+    // Shut down once the server has received the request, which may still be in
+    // flight: the worker's response must be a completed 200, never a dropped
+    // socket. (A fixed sleep here raced the worker's connect on a loaded host.)
+    let received = || {
+        handle
+            .service()
+            .metrics
+            .check_requests
+            .load(std::sync::atomic::Ordering::SeqCst)
+            > 0
+    };
+    // Poll for at most ~10 s.
+    for _ in 0..100_000 {
+        if received() {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_micros(100));
+    }
     handle.shutdown();
     let resp = worker.join().expect("worker thread");
     assert_eq!(resp.status, 200, "{}", resp.body);
@@ -288,6 +304,107 @@ fn session_verdicts_match_direct_incremental_checker() {
             .operations(),
         ops
     );
+    handle.shutdown();
+}
+
+/// Malformed events bodies against a live session: each is a 400 naming the
+/// offending op, and afterwards the same session still takes a good chunk and
+/// serves the verdict of a direct `IncrementalChecker` fed the same bodies. The
+/// first two rows are well-formed: a body listed out of invocation order, then a
+/// completion of one of its ops.
+#[test]
+fn malformed_session_events_are_400s_and_the_session_survives() {
+    // op0 complete, op1 a pending write, op2 a pending read; last event at t4.
+    let seed = "op0 p0 R0 write 1 @ t1..t2\nop1 p1 R0 write 2 @ t3..\nop2 p2 R0 read ? @ t4..\n";
+    // (events body, `None` for a 200 or `Some((op, phrase))` for a 400)
+    let rows: &[(&str, Option<(&str, &str)>)] = &[
+        ("op4 p3 R0 write 4 @ t6..\nop3 p4 R0 read ? @ t5..\n", None),
+        ("op3 p4 R0 read 2 @ t5..t7\n", None),
+        (
+            "op2 p2 R0 read ? @ t4..t9\n",
+            Some(("op2", "completed read")),
+        ),
+        (
+            "op0 p0 R0 write 5 @ t10..t11\n",
+            Some(("op0", "duplicate operation id")),
+        ),
+        (
+            "op9 p3 R0 write 3 @ t1..t12\n",
+            Some(("op9", "duplicate event time")),
+        ),
+        (
+            "op1 p1 R0 write 2 @ t3..t4\n",
+            Some(("op1", "duplicate event time")),
+        ),
+        (
+            "op1 p1 R0 write 9 @ t3..t10\n",
+            Some(("op1", "contradicts")),
+        ),
+        (
+            "op0 p0 R0 write 1 @ t1..t10\n",
+            Some(("op0", "duplicate operation id")),
+        ),
+        (
+            "op9 p3 R0 write 3 @ t18446744073709551615..\n",
+            Some(("op9", "out of range")),
+        ),
+    ];
+    let (handle, mut client) = server(AppConfig::default());
+    let created = client.post("/sessions", seed).expect("POST /sessions");
+    assert_eq!(created.status, 201, "{}", created.body);
+    let id: u64 = created
+        .body
+        .trim_start_matches("{\"session\":")
+        .split(',')
+        .next()
+        .and_then(|s| s.parse().ok())
+        .expect("session id");
+    let events = format!("/sessions/{id}/events");
+    let mut direct = handle.service().build_checker().incremental();
+    let mut feed = |body: &str| {
+        if let Ok(history) = parse_history(body) {
+            let _ = direct.try_extend(history.operations());
+        }
+        verdict_to_json(direct.verdict().as_verdict())
+    };
+    feed(seed);
+    for (k, (body, expected)) in rows.iter().enumerate() {
+        let resp = client.post(&events, body).expect("POST events");
+        feed(body);
+        match expected {
+            None => assert_eq!(resp.status, 200, "{body:?} -> {}", resp.body),
+            Some((op, phrase)) => {
+                assert_eq!(resp.status, 400, "{body:?} -> {}", resp.body);
+                assert!(
+                    resp.body.contains(op) && resp.body.contains(phrase),
+                    "{body:?} -> {}",
+                    resp.body
+                );
+            }
+        }
+        // The same session takes a good chunk (fresh ids, later times) and
+        // serves the library's verdict.
+        let (op, t) = (100 + 2 * k, 100 + 4 * k);
+        let good = format!(
+            "op{op} p5 R1 write {k} @ t{t}..t{}\nop{} p6 R1 read {k} @ t{}..t{}\n",
+            t + 1,
+            op + 1,
+            t + 2,
+            t + 3
+        );
+        let resp = client.post(&events, &good).expect("POST events");
+        assert_eq!(resp.status, 200, "after {body:?}: {}", resp.body);
+        let expected = format!("{{\"verdict\":{},", feed(&good));
+        let served = client
+            .get(&format!("/sessions/{id}/verdict"))
+            .expect("GET verdict");
+        assert_eq!(served.status, 200);
+        assert!(
+            served.body.starts_with(&expected),
+            "after {body:?}: served {} vs library {expected}",
+            served.body
+        );
+    }
     handle.shutdown();
 }
 
